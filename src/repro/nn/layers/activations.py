@@ -12,16 +12,16 @@ class ReLU(Module):
 
     def __init__(self) -> None:
         super().__init__()
-        self._mask: np.ndarray | None = None
+        self._cache: np.ndarray | None = None
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
-        self._mask = inputs > 0
-        return inputs * self._mask
+        self._cache = inputs > 0
+        return inputs * self._cache
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._mask is None:
+        if self._cache is None:
             raise RuntimeError("backward called before forward")
-        return grad_output * self._mask
+        return grad_output * self._cache
 
 
 class Tanh(Module):
@@ -29,16 +29,16 @@ class Tanh(Module):
 
     def __init__(self) -> None:
         super().__init__()
-        self._output: np.ndarray | None = None
+        self._cache: np.ndarray | None = None
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
-        self._output = np.tanh(inputs)
-        return self._output
+        self._cache = np.tanh(inputs)
+        return self._cache
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._output is None:
+        if self._cache is None:
             raise RuntimeError("backward called before forward")
-        return grad_output * (1.0 - self._output**2)
+        return grad_output * (1.0 - self._cache**2)
 
 
 class Sigmoid(Module):
@@ -46,13 +46,13 @@ class Sigmoid(Module):
 
     def __init__(self) -> None:
         super().__init__()
-        self._output: np.ndarray | None = None
+        self._cache: np.ndarray | None = None
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
-        self._output = 1.0 / (1.0 + np.exp(-inputs))
-        return self._output
+        self._cache = 1.0 / (1.0 + np.exp(-inputs))
+        return self._cache
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._output is None:
+        if self._cache is None:
             raise RuntimeError("backward called before forward")
-        return grad_output * self._output * (1.0 - self._output)
+        return grad_output * self._cache * (1.0 - self._cache)

@@ -2,8 +2,12 @@
 
 The 2-D and 1-D convolutions are the workhorses of the paper's model zoo
 (CNN-H, CNN-S, AlexNet, VGG16).  They are implemented with explicit column
-matrices so both the forward pass and the backward pass are dense GEMMs,
-which keeps the CPU-only simulation fast enough for the benchmark harness.
+matrices so the forward pass and both backward contractions are dense
+GEMMs: ``np.matmul`` runs one BLAS GEMM per sample on a contiguous
+``(features, positions)`` column slice, which keeps the CPU-only simulation
+fast enough for the benchmark harness.  The stacked kernels in
+:mod:`repro.parallel.kernels` run the same per-slice GEMMs, so serial and
+worker-stacked convolutions agree bitwise.
 """
 
 from __future__ import annotations
@@ -52,9 +56,13 @@ def im2col(
             f"convolution output would be empty for input {inputs.shape} "
             f"kernel {kernel} stride {stride} padding {padding}"
         )
-    padded = np.pad(
-        inputs, ((0, 0), (0, 0), (ph, ph), (pw, pw)), mode="constant"
-    )
+    if ph or pw:
+        padded = np.zeros(
+            (batch, channels, height + 2 * ph, width + 2 * pw), dtype=inputs.dtype
+        )
+        padded[:, :, ph:ph + height, pw:pw + width] = inputs
+    else:
+        padded = inputs
     cols = np.empty(
         (batch, channels, kh, kw, out_h, out_w), dtype=inputs.dtype
     )
@@ -131,9 +139,9 @@ class Conv2d(Module):
             )
         cols, out_size = im2col(inputs, self.kernel_size, self.stride, self.padding)
         self._cache = (cols, inputs.shape, out_size)
-        out = np.einsum("of,bfl->bol", self.weight.data, cols)
+        out = np.matmul(self.weight.data, cols)
         if self.bias is not None:
-            out = out + self.bias.data[None, :, None]
+            out += self.bias.data[:, None]
         batch = inputs.shape[0]
         return out.reshape(batch, self.out_channels, out_size[0], out_size[1])
 
@@ -143,10 +151,10 @@ class Conv2d(Module):
         cols, input_shape, out_size = self._cache
         batch = input_shape[0]
         grad = grad_output.reshape(batch, self.out_channels, -1)
-        self.weight.grad += np.einsum("bol,bfl->of", grad, cols)
+        self.weight.grad += np.matmul(grad, cols.transpose(0, 2, 1)).sum(axis=0)
         if self.bias is not None:
             self.bias.grad += grad.sum(axis=(0, 2))
-        grad_cols = np.einsum("of,bol->bfl", self.weight.data, grad)
+        grad_cols = np.matmul(self.weight.data.T, grad)
         return col2im(
             grad_cols, input_shape, self.kernel_size, self.stride, self.padding, out_size
         )

@@ -19,20 +19,20 @@ class Dropout(Module):
             raise ValueError(f"dropout probability must be in [0, 1), got {p}")
         self.p = p
         self._rng = rng if rng is not None else new_rng()
-        self._mask: np.ndarray | None = None
+        self._cache: np.ndarray | None = None
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         if not self.training or self.p == 0.0:
-            self._mask = None
+            self._cache = None
             return inputs
         keep = 1.0 - self.p
-        self._mask = (self._rng.random(inputs.shape) < keep) / keep
-        return inputs * self._mask
+        self._cache = (self._rng.random(inputs.shape) < keep) / keep
+        return inputs * self._cache
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._mask is None:
+        if self._cache is None:
             return grad_output
-        return grad_output * self._mask
+        return grad_output * self._cache
 
     def extra_state(self) -> dict:
         return {"rng": self._rng.bit_generator.state}
@@ -134,14 +134,13 @@ class BatchNorm2d(_BatchNormBase):
                 f"BatchNorm2d expects (batch, {self.num_features}, H, W), "
                 f"got {inputs.shape}"
             )
-        self._input_shape = inputs.shape
         flat = inputs.transpose(0, 2, 3, 1).reshape(-1, self.num_features)
         out = self._normalize(flat)
         batch, channels, height, width = inputs.shape
         return out.reshape(batch, height, width, channels).transpose(0, 3, 1, 2)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        batch, channels, height, width = self._input_shape
+        batch, channels, height, width = grad_output.shape
         grad_flat = grad_output.transpose(0, 2, 3, 1).reshape(-1, self.num_features)
         grad = self._denormalize_grad(grad_flat)
         return grad.reshape(batch, height, width, channels).transpose(0, 3, 1, 2)

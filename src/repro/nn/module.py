@@ -109,8 +109,27 @@ class Module:
                 )
             param.data = value.copy()
 
+    def __getstate__(self) -> dict:
+        """Copy/pickle state without the forward cache.
+
+        Every layer keeps what its ``backward`` needs in ``_cache``.  That
+        cache belongs to one forward pass, so copies (:meth:`clone`,
+        ``copy.deepcopy``, pickling) leave it out and carry only weights,
+        buffers, RNG state and configuration.
+        """
+        state = self.__dict__
+        if state.get("_cache") is None:
+            return state
+        state = dict(state)
+        state["_cache"] = None
+        return state
+
     def clone(self) -> "Module":
-        """Return a structurally identical deep copy of this module."""
+        """Return a structurally identical deep copy of this module.
+
+        The copy has no forward cache: run ``forward`` on it before
+        ``backward``.
+        """
         return copy.deepcopy(self)
 
     def num_parameters(self) -> int:

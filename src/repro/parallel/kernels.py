@@ -10,10 +10,12 @@ flattened ``(w * batch, ...)`` view), so the results are bit-identical to
 running the serial layer once per worker -- the executor equivalence suite
 asserts exactly that.
 
-Why this is faster despite identical FLOPs: one einsum/matmul over the
+What stacking saves despite identical FLOPs: one ``np.matmul`` over the
 stacked operands replaces ``w`` small kernel launches, so the Python layer
-dispatch and numpy call overhead -- the dominant cost at simulation scale
--- is paid once per layer instead of once per worker per layer.
+dispatch and numpy call overhead is paid once per layer instead of once
+per worker per layer.  That overhead dominates for small models; once the
+convolutions are BLAS-bound GEMMs, the stacked conv layers run about as
+fast as the serial ones (their working set is ``w`` times larger).
 """
 
 from __future__ import annotations
@@ -25,7 +27,13 @@ import numpy as np
 from repro.nn.layers.activations import ReLU, Sigmoid, Tanh
 from repro.nn.layers.conv import Conv1d, Conv2d, col2im, im2col
 from repro.nn.layers.linear import Linear
-from repro.nn.layers.pooling import AvgPool2d, MaxPool1d, MaxPool2d
+from repro.nn.layers.pooling import (
+    AvgPool2d,
+    MaxPool1d,
+    MaxPool2d,
+    window_max,
+    window_max_backward,
+)
 from repro.nn.layers.regularization import BatchNorm1d, BatchNorm2d, Dropout
 from repro.nn.layers.shape import Flatten
 from repro.nn.module import Sequential
@@ -77,17 +85,17 @@ class BatchedLinear(BatchedLayer):
         if layer.bias is not None:
             self.bias = BatchedParameter(_stack(layer.bias.data, count), "bias")
             self.params.append(self.bias)
-        self._cache_input: np.ndarray | None = None
+        self._cache: np.ndarray | None = None
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
-        self._cache_input = inputs
+        self._cache = inputs
         out = np.matmul(inputs, self.weight.data.transpose(0, 2, 1))
         if self.bias is not None:
             out = out + self.bias.data[:, None, :]
         return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        inputs = self._cache_input
+        inputs = self._cache
         self.weight.grad += np.matmul(grad_output.transpose(0, 2, 1), inputs)
         if self.bias is not None:
             self.bias.grad += grad_output.sum(axis=1)
@@ -98,9 +106,12 @@ class BatchedConv2d(BatchedLayer):
     """2-D convolution with per-worker weights, via the serial im2col kernels.
 
     The column matrices are computed by the *serial* ``im2col`` on a
-    ``(w * batch, ...)`` view (pure slicing, so values are identical), and
-    the GEMMs gain a leading ``w`` axis on the same einsum signatures the
-    serial layer uses.
+    ``(w * batch, ...)`` view (pure slicing, so values are identical).  The
+    three contractions are the serial layer's ``np.matmul`` calls with a
+    leading ``w`` axis: every ``(worker, sample)`` slice runs the same BLAS
+    GEMM on the same contiguous operand layout as the serial layer, and the
+    weight gradient sums the per-sample products over the same axis in the
+    same order, so the results match bitwise.
     """
 
     def __init__(self, layer: Conv2d, count: int) -> None:
@@ -123,19 +134,19 @@ class BatchedConv2d(BatchedLayer):
         cols, out_size = im2col(flat, self.kernel_size, self.stride, self.padding)
         cols = cols.reshape(w, batch, *cols.shape[1:])
         self._cache = (cols, inputs.shape, out_size)
-        out = np.einsum("wof,wbfl->wbol", self.weight.data, cols)
+        out = np.matmul(self.weight.data[:, None], cols)
         if self.bias is not None:
-            out = out + self.bias.data[:, None, :, None]
+            out += self.bias.data[:, None, :, None]
         return out.reshape(w, batch, self.out_channels, out_size[0], out_size[1])
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         cols, input_shape, out_size = self._cache
         w, batch = input_shape[:2]
         grad = grad_output.reshape(w, batch, self.out_channels, -1)
-        self.weight.grad += np.einsum("wbol,wbfl->wof", grad, cols)
+        self.weight.grad += np.matmul(grad, cols.transpose(0, 1, 3, 2)).sum(axis=1)
         if self.bias is not None:
             self.bias.grad += grad.sum(axis=(1, 3))
-        grad_cols = np.einsum("wof,wbol->wbfl", self.weight.data, grad)
+        grad_cols = np.matmul(self.weight.data.transpose(0, 2, 1)[:, None], grad)
         grad_flat = col2im(
             grad_cols.reshape(w * batch, *grad_cols.shape[2:]),
             (w * batch, *input_shape[2:]),
@@ -167,87 +178,71 @@ class BatchedConv1d(BatchedLayer):
 class BatchedReLU(BatchedLayer):
     def __init__(self, layer: ReLU, count: int) -> None:
         super().__init__(count)
-        self._mask: np.ndarray | None = None
+        self._cache: np.ndarray | None = None
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
-        self._mask = inputs > 0
-        return inputs * self._mask
+        self._cache = inputs > 0
+        return inputs * self._cache
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        return grad_output * self._mask
+        return grad_output * self._cache
 
 
 class BatchedTanh(BatchedLayer):
     def __init__(self, layer: Tanh, count: int) -> None:
         super().__init__(count)
-        self._output: np.ndarray | None = None
+        self._cache: np.ndarray | None = None
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
-        self._output = np.tanh(inputs)
-        return self._output
+        self._cache = np.tanh(inputs)
+        return self._cache
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        return grad_output * (1.0 - self._output**2)
+        return grad_output * (1.0 - self._cache**2)
 
 
 class BatchedSigmoid(BatchedLayer):
     def __init__(self, layer: Sigmoid, count: int) -> None:
         super().__init__(count)
-        self._output: np.ndarray | None = None
+        self._cache: np.ndarray | None = None
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
-        self._output = 1.0 / (1.0 + np.exp(-inputs))
-        return self._output
+        self._cache = 1.0 / (1.0 + np.exp(-inputs))
+        return self._cache
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        return grad_output * self._output * (1.0 - self._output)
+        return grad_output * self._cache * (1.0 - self._cache)
 
 
 class BatchedFlatten(BatchedLayer):
     def __init__(self, layer: Flatten, count: int) -> None:
         super().__init__(count)
-        self._input_shape: tuple[int, ...] | None = None
+        self._cache: tuple[int, ...] | None = None
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
-        self._input_shape = inputs.shape
+        self._cache = inputs.shape
         return inputs.reshape(inputs.shape[0], inputs.shape[1], -1)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        return grad_output.reshape(self._input_shape)
+        return grad_output.reshape(self._cache)
 
 
 class BatchedMaxPool2d(BatchedLayer):
+    """Stacked max pooling: the serial window kernels on the trailing axes."""
+
     def __init__(self, layer: MaxPool2d, count: int) -> None:
         super().__init__(count)
         self.kernel_size = layer.kernel_size
-        self._cache: tuple[np.ndarray, tuple[int, ...]] | None = None
+        self._cache: tuple[np.ndarray, np.ndarray] | None = None
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
-        kh, kw = self.kernel_size
-        w, batch, channels, height, width = inputs.shape
-        out_h, out_w = height // kh, width // kw
-        trimmed = inputs[:, :, :, : out_h * kh, : out_w * kw]
-        windows = trimmed.reshape(w, batch, channels, out_h, kh, out_w, kw)
-        out = windows.max(axis=(4, 6))
-        expanded = out[:, :, :, :, None, :, None]
-        mask = (windows == expanded).astype(np.float64)
-        counts = mask.sum(axis=(4, 6), keepdims=True)
-        mask = mask / counts
-        self._cache = (mask, inputs.shape)
+        out = window_max(inputs, self.kernel_size)
+        self._cache = (inputs, out)
         return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        mask, input_shape = self._cache
-        kh, kw = self.kernel_size
-        w, batch, channels, height, width = input_shape
-        out_h, out_w = height // kh, width // kw
-        grad_windows = mask * grad_output[:, :, :, :, None, :, None]
-        grad_trimmed = grad_windows.reshape(
-            w, batch, channels, out_h * kh, out_w * kw
-        )
-        grad_input = np.zeros(input_shape, dtype=np.float64)
-        grad_input[:, :, :, : out_h * kh, : out_w * kw] = grad_trimmed
-        return grad_input
+        inputs, out = self._cache
+        return window_max_backward(inputs, out, grad_output, self.kernel_size)
 
 
 class BatchedMaxPool1d(BatchedLayer):
@@ -268,23 +263,23 @@ class BatchedAvgPool2d(BatchedLayer):
     def __init__(self, layer: AvgPool2d, count: int) -> None:
         super().__init__(count)
         self.kernel_size = layer.kernel_size
-        self._input_shape: tuple[int, ...] | None = None
+        self._cache: tuple[int, ...] | None = None
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         k = self.kernel_size
         w, batch, channels, height, width = inputs.shape
         out_h, out_w = height // k, width // k
-        self._input_shape = inputs.shape
+        self._cache = inputs.shape
         trimmed = inputs[:, :, :, : out_h * k, : out_w * k]
         windows = trimmed.reshape(w, batch, channels, out_h, k, out_w, k)
         return windows.mean(axis=(4, 6))
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         k = self.kernel_size
-        w, batch, channels, height, width = self._input_shape
+        w, batch, channels, height, width = self._cache
         out_h, out_w = height // k, width // k
         grad = np.repeat(np.repeat(grad_output, k, axis=3), k, axis=4) / (k * k)
-        grad_input = np.zeros(self._input_shape, dtype=np.float64)
+        grad_input = np.zeros(self._cache, dtype=np.float64)
         grad_input[:, :, :, : out_h * k, : out_w * k] = grad
         return grad_input
 
@@ -375,19 +370,14 @@ class BatchedBatchNorm2d(_BatchedBatchNormBase):
     per-channel sample order inside every reduction is identical.
     """
 
-    def __init__(self, layer: BatchNorm2d, count: int) -> None:
-        super().__init__(layer, count)
-        self._input_shape: tuple[int, ...] | None = None
-
     def forward(self, inputs: np.ndarray) -> np.ndarray:
-        self._input_shape = inputs.shape
         w, batch, channels, height, width = inputs.shape
         flat = inputs.transpose(0, 1, 3, 4, 2).reshape(w, -1, self.num_features)
         out = self._normalize(flat)
         return out.reshape(w, batch, height, width, channels).transpose(0, 1, 4, 2, 3)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        w, batch, channels, height, width = self._input_shape
+        w, batch, channels, height, width = grad_output.shape
         grad_flat = grad_output.transpose(0, 1, 3, 4, 2).reshape(
             w, -1, self.num_features
         )
@@ -408,22 +398,22 @@ class BatchedDropout(BatchedLayer):
         super().__init__(count)
         self.p = layer.p
         self._rngs = [copy.deepcopy(layer._rng) for _ in range(count)]
-        self._mask: np.ndarray | None = None
+        self._cache: np.ndarray | None = None
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         if self.p == 0.0:
-            self._mask = None
+            self._cache = None
             return inputs
         keep = 1.0 - self.p
-        self._mask = np.stack(
+        self._cache = np.stack(
             [(rng.random(inputs.shape[1:]) < keep) / keep for rng in self._rngs]
         )
-        return inputs * self._mask
+        return inputs * self._cache
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._mask is None:
+        if self._cache is None:
             return grad_output
-        return grad_output * self._mask
+        return grad_output * self._cache
 
 
 #: Serial layer type -> batched counterpart.  Layers outside this table

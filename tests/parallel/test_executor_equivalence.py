@@ -11,7 +11,7 @@ tests pin that contract for every engine code path:
 * ``splitfed`` -- aggregation after every local iteration (re-install path,
   where the pipelined scheduler must fall back);
 * ``fedavg`` -- the FL engine's ``train_full`` path;
-* a convolutional model -- the stacked im2col/einsum kernels;
+* a convolutional model -- the stacked im2col/GEMM kernels;
 * a normalised model -- the stacked BatchNorm kernels;
 * ``process`` x {``pipe``, ``shm``} x {``sync``, ``pipelined``} -- the
   transport framing and the double-buffered iteration overlap.
