@@ -3,9 +3,10 @@
 Times every layer of AlexNet-S (width 0.5, CIFAR-10 shapes) and CNN-H (HAR
 shapes) on its own, at the training batch (8) and the evaluation batch
 (200), both as the serial layer and as the worker-stacked kernel of the
-batched executor.  It also times ``clone()`` of the MLP bottom model of a
-1000-worker lazy fleet, which a MergeSFL round clones once per selected
-worker, both fresh and right after a 200-sample forward pass.
+batched executor.  It also times ``clone()`` of AlexNet-S and of the MLP
+bottom model of a 1000-worker lazy fleet, which a MergeSFL round clones
+once per selected worker, both fresh and right after a 200-sample forward
+pass.
 
 Each figure is the median over ``repeats`` runs (at least 3) of the mean
 over a few timed iterations.  Run as a script to measure the source tree
@@ -29,10 +30,7 @@ if __name__ == "__main__":
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import argparse  # noqa: E402
-import json  # noqa: E402
-import platform  # noqa: E402
 import statistics  # noqa: E402
-import subprocess  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -43,7 +41,13 @@ ROOT = Path(__file__).resolve().parent.parent
 if __package__ in (None, ""):
     sys.path.insert(0, str(ROOT))
 
-from benchmarks.common import run_once, smoke_mode  # noqa: E402
+from benchmarks.common import (  # noqa: E402
+    host,
+    run_once,
+    smoke_mode,
+    source_commit,
+    write_labelled,
+)
 from repro.api.components import build_components  # noqa: E402
 from repro.config import ExperimentConfig  # noqa: E402
 from repro.experiments.reporting import format_table  # noqa: E402
@@ -72,38 +76,6 @@ def settings() -> dict:
     # show up in it more than in the layer timings: take more runs.
     return {"batches": (8, 200), "stacked_workers": STACKED_WORKERS,
             "repeats": 5, "iterations": 3, "clone_repeats": 21, "clones": 300}
-
-
-def host() -> dict:
-    """The host and library versions a measurement was taken on."""
-    try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-        blas_info = {"name": blas.get("name"), "version": blas.get("version")}
-    except (TypeError, KeyError):  # numpy without the dict mode
-        blas_info = {"name": "unknown", "version": "unknown"}
-    return {
-        "nproc": os.cpu_count(),
-        "blas": blas_info,
-        "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
-        "numpy": np.__version__,
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-    }
-
-
-def source_commit() -> str | None:
-    """Commit of the checkout whose ``repro`` package is being measured
-    (``-dirty`` when it has uncommitted changes)."""
-    import repro
-
-    try:
-        return subprocess.run(
-            ["git", "describe", "--always", "--dirty"],
-            cwd=Path(repro.__file__).parent, capture_output=True, text=True,
-            check=True,
-        ).stdout.strip()
-    except (OSError, subprocess.CalledProcessError):
-        return None
 
 
 def _time_layers(layers, inputs, iterations):
@@ -156,21 +128,23 @@ def fleet_bottom():
 
 
 def measure_clones(config: dict) -> dict:
-    """Median and fastest microseconds per ``clone()`` of the fleet's bottom."""
+    """Median and fastest microseconds per ``clone()`` of the fleet's bottom
+    (fresh and after a 200-sample forward) and of AlexNet-S (width 0.5)."""
     bottom, features = fleet_bottom()
 
-    def per_clone() -> dict:
+    def per_clone(model) -> dict:
         runs = []
         for _ in range(config["clone_repeats"]):
             start = time.perf_counter()
             for _ in range(config["clones"]):
-                bottom.clone()
+                model.clone()
             runs.append(1e6 * (time.perf_counter() - start) / config["clones"])
         return {"median": statistics.median(runs), "min": min(runs)}
 
-    fresh = per_clone()
+    fresh = per_clone(bottom)
     bottom.forward(features[:200])
-    return {"fresh": fresh, "after_forward_200": per_clone()}
+    return {"fresh": fresh, "after_forward_200": per_clone(bottom),
+            "alexnet_s": per_clone(MODELS["alexnet_s"][0]())}
 
 
 def measure() -> dict:
@@ -213,7 +187,8 @@ def speedups(before: dict, after: dict) -> dict:
                 total["forward_us"] + total["backward_us"]
             )
     for key, value in after["clone_us"].items():
-        ratios[f"clone/{key}"] = before["clone_us"][key]["median"] / value["median"]
+        if key in before["clone_us"]:
+            ratios[f"clone/{key}"] = before["clone_us"][key]["median"] / value["median"]
     return ratios
 
 
@@ -226,18 +201,6 @@ def report(result: dict) -> str:
              for key, value in result["clone_us"].items()]
     return format_table(["case", "forward_us", "backward_us"], rows,
                         title="Per-model layer time (median of runs)")
-
-
-def write(result: dict, label: str, path: Path) -> dict:
-    """Merge ``result`` into the JSON file at ``path`` under ``label``."""
-    document = json.loads(path.read_text()) if path.exists() else {}
-    document.setdefault("description", __doc__.split("\n\n")[0])
-    document.setdefault("runs", {})[label] = result
-    runs = document["runs"]
-    if "before" in runs and "after" in runs:
-        document["speedup_before_over_after"] = speedups(runs["before"], runs["after"])
-    path.write_text(json.dumps(document, indent=1) + "\n")
-    return document
 
 
 def test_layer_timings(benchmark):
@@ -257,7 +220,8 @@ def main() -> None:
     args = parser.parse_args()
     result = measure()
     print(report(result))
-    document = write(result, args.label, args.output)
+    document = write_labelled(args.output, args.label, result,
+                              __doc__.split("\n\n")[0], speedups)
     for key, ratio in document.get("speedup_before_over_after", {}).items():
         print(f"  {key:32s} {ratio:6.2f}x")
 

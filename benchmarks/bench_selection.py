@@ -17,25 +17,62 @@ Two properties are asserted, not just reported:
 
 ``BENCH_SMOKE`` shrinks the scales and rounds and drops the timing/quality
 assertions (meaningless at toy sizes); the oracle bound always holds.
+
+Run as a script to measure the source tree on ``PYTHONPATH`` and merge the
+result into ``BENCH_selection.json`` under a label::
+
+    PYTHONPATH=src python benchmarks/bench_selection.py --label after
+
+The entry holds the median (and fastest) of ``REPEATS`` sweeps of each
+(scale, solver) solve time, and the sweep's mean KL and feasible fraction,
+which are deterministic for the seed.  With a ``before`` and an ``after``
+entry the file also carries their speedups.  Under pytest nothing is
+written.
 """
 
-import time
+from __future__ import annotations
 
-import numpy as np
+import os
 
-from repro.core.divergence import iid_distribution
-from repro.core.selection import selection_priorities
-from repro.experiments.reporting import format_table
-from repro.selection.solvers import SELECTION_SOLVERS, SelectionProblem
-from repro.utils.rng import new_rng
+if __name__ == "__main__":
+    # One BLAS thread unless the caller chose otherwise, fixed before numpy
+    # loads, as in bench_layers.py.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from benchmarks.common import run_once, smoke_mode
+import argparse  # noqa: E402
+import statistics  # noqa: E402
+import sys  # noqa: E402
+import time  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+if __package__ in (None, ""):
+    sys.path.insert(0, str(ROOT))
+
+from benchmarks.common import (  # noqa: E402
+    host,
+    run_once,
+    smoke_mode,
+    source_commit,
+    write_labelled,
+)
+from repro.core.divergence import iid_distribution  # noqa: E402
+from repro.core.selection import selection_priorities  # noqa: E402
+from repro.experiments.reporting import format_table  # noqa: E402
+from repro.selection.solvers import SELECTION_SOLVERS, SelectionProblem  # noqa: E402
+from repro.utils.rng import new_rng  # noqa: E402
+
+DEFAULT_OUTPUT = ROOT / "BENCH_selection.json"
+#: Sweeps per script run; each (scale, solver) time is their median.
+REPEATS = 5
 
 #: Production solvers under comparison ("exact" appears only as the oracle).
 SOLVERS = ("ga", "ga-warm", "local-search", "greedy")
 
 SEED = 11
-#: The scale the ISSUE-level assertions run at.
+#: The scale the timing and quality assertions run at.
 ASSERT_SCALE = 400
 
 
@@ -192,3 +229,63 @@ def test_solvers_agree_with_exact_oracle(benchmark):
             )
             hits += int(row[name] <= row["exact"] + 1e-12)
     assert hits >= 1, "no heuristic ever found the exhaustive optimum"
+
+
+def measure(repeats: int = REPEATS) -> dict:
+    """Solve milliseconds of ``repeats`` sweeps, with the sweep's quality."""
+    sweeps = [_sweep() for _ in range(repeats)]
+    solve_ms, mean_kl, feasible = {}, {}, {}
+    for scale, by_solver in sweeps[0].items():
+        for name in by_solver:
+            key = f"{scale}/{name}"
+            outcomes = [sweep[scale][name] for sweep in sweeps]
+            # Only the wall-clock may vary between sweeps.
+            assert len({(kl, frac) for kl, __, frac in outcomes}) == 1, key
+            times = [1e3 * elapsed for __, elapsed, __ in outcomes]
+            solve_ms[key] = {"median": statistics.median(times), "min": min(times)}
+            mean_kl[key], __, feasible[key] = outcomes[0]
+    return {
+        "commit": source_commit(),
+        "host": host(),
+        "repeats": repeats,
+        "rounds_per_solve_ms": _rounds(),
+        "solve_ms": solve_ms,
+        "mean_kl": mean_kl,
+        "feasible_frac": feasible,
+    }
+
+
+def speedups(before: dict, after: dict) -> dict:
+    """``before / after`` median solve-time ratio of every shared case."""
+    return {
+        key: before["solve_ms"][key]["median"] / value["median"]
+        for key, value in after["solve_ms"].items() if key in before["solve_ms"]
+    }
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--label", default="after",
+                        help="entry name in the JSON file (e.g. before/after)")
+    parser.add_argument("--output", type=Path, default=DEFAULT_OUTPUT)
+    args = parser.parse_args()
+    result = measure()
+    print(format_table(
+        ["case", "solve_ms", "mean_kl", "feasible_frac"],
+        [[key, f"{value['median']:.1f}", result["mean_kl"][key],
+          result["feasible_frac"][key]] for key, value in result["solve_ms"].items()],
+        title=f"Selection solvers (median of {result['repeats']} sweeps)",
+    ))
+    document = write_labelled(args.output, args.label, result,
+                              __doc__.split("\n\n")[0], speedups)
+    runs = document["runs"]
+    if "before" in runs and "after" in runs:
+        same = all(runs["before"][field] == runs["after"][field]
+                   for field in ("mean_kl", "feasible_frac"))
+        print(f"  mean KL and feasibility identical to 'before': {same}")
+    for key, ratio in document.get("speedup_before_over_after", {}).items():
+        print(f"  {key:24s} {ratio:6.2f}x")
+
+
+if __name__ == "__main__":
+    main()

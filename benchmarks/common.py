@@ -66,7 +66,14 @@ each other through a shared dict):
 
 from __future__ import annotations
 
+import json
 import os
+import platform
+import subprocess
+from pathlib import Path
+from typing import Callable
+
+import numpy as np
 
 from repro.experiments import figures
 from repro.metrics.history import History
@@ -193,3 +200,53 @@ def run_bench_study(study: Study) -> dict[str, History]:
 def run_once(benchmark, func, *args, **kwargs):
     """Run ``func`` exactly once under pytest-benchmark and return its result."""
     return benchmark.pedantic(func, args=args, kwargs=kwargs, rounds=1, iterations=1)
+
+
+def host() -> dict:
+    """The host and library versions a measurement was taken on."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas_info = {"name": blas.get("name"), "version": blas.get("version")}
+    except (TypeError, KeyError):  # numpy without the dict mode
+        blas_info = {"name": "unknown", "version": "unknown"}
+    return {
+        "nproc": os.cpu_count(),
+        "blas": blas_info,
+        "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "numpy": np.__version__,
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+    }
+
+
+def source_commit() -> str | None:
+    """Commit of the checkout whose ``repro`` package is being measured
+    (``-dirty`` when it has uncommitted changes)."""
+    import repro
+
+    try:
+        return subprocess.run(
+            ["git", "describe", "--always", "--dirty"],
+            cwd=Path(repro.__file__).parent, capture_output=True, text=True,
+            check=True,
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return None
+
+
+def write_labelled(path: Path, label: str, result: dict, description: str,
+                   speedups: Callable[[dict, dict], dict]) -> dict:
+    """Merge ``result`` into the ``BENCH_*.json`` file at ``path`` under ``label``.
+
+    One file holds the measurements of two commits, labelled ``before`` and
+    ``after``; with both present it also carries ``speedups(before,
+    after)`` as ``speedup_before_over_after``.
+    """
+    document = json.loads(path.read_text()) if path.exists() else {}
+    document.setdefault("description", description)
+    document.setdefault("runs", {})[label] = result
+    runs = document["runs"]
+    if "before" in runs and "after" in runs:
+        document["speedup_before_over_after"] = speedups(runs["before"], runs["after"])
+    path.write_text(json.dumps(document, indent=1) + "\n")
+    return document

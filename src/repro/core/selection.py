@@ -84,7 +84,8 @@ class PopulationFitness:
     precomputed once per round; evaluating a population of membership masks
     is then one masked matrix reduction plus a row-wise KL instead of a
     Python loop over individuals -- ``population x generations`` scalar
-    fitness calls collapse into ``generations`` matrix ops.
+    fitness calls collapse into ``generations`` matrix ops.  Duplicate
+    rows are found on packed-bit row keys and scored once.
 
     Every reduction is arranged to be bit-identical to :func:`_fitness`:
     unselected workers contribute exact ``0.0`` rows to a sequential sum
@@ -135,12 +136,24 @@ class PopulationFitness:
         """Fitness of every row of ``masks`` (a ``(population, N)`` matrix).
 
         Duplicate individuals -- common once the GA starts converging --
-        are evaluated once and their score broadcast back.
+        are evaluated once and their score broadcast back.  Rows are
+        deduplicated on packed keys: each row is packed to bits and viewed
+        as one opaque ``np.void`` scalar, so ``np.unique`` sorts a 1-D
+        array of ``ceil(N / 8)``-byte keys instead of ``(population, N)``
+        boolean rows.  A row's score depends on that row alone, so the
+        order of the unique rows does not change any score.
         """
         masks = np.atleast_2d(np.asarray(masks, dtype=bool))
-        unique, inverse = np.unique(masks, axis=0, return_inverse=True)
-        if unique.shape[0] < masks.shape[0]:
-            return self.evaluate(unique)[inverse]
+        if masks.shape[0] > 1 and masks.shape[1] > 0:
+            packed = np.packbits(masks, axis=1)
+            keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+            _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+            if first.shape[0] < masks.shape[0]:
+                return self._evaluate_distinct(masks[first])[inverse]
+        return self._evaluate_distinct(masks)
+
+    def _evaluate_distinct(self, masks: np.ndarray) -> np.ndarray:
+        """:meth:`evaluate` of a boolean ``(population, N)`` matrix, row by row."""
         nonempty = masks.any(axis=1)
         fitness = np.full(masks.shape[0], 1e6)
         if not np.any(nonempty):

@@ -124,17 +124,92 @@ class Module:
         state["_cache"] = None
         return state
 
+    def __deepcopy__(self, memo: dict) -> "Module":
+        """Deep copy of the :meth:`__getstate__` dict, field by field.
+
+        The generic ``copy.deepcopy`` reduces every object through its
+        pickle protocol.  A model is mostly float arrays, parameters and
+        nested layers, so those are copied directly; see
+        :func:`_copy_field`.  Every copy is registered in ``memo``, so an
+        object shared inside the model (say a parameter tied between two
+        layers) is shared in the copy too.
+        """
+        cls = type(self)
+        clone = cls.__new__(cls)
+        memo[id(self)] = clone
+        state = self.__getstate__()
+        if state is not self.__dict__:
+            # Keep a built state alive until the whole copy ends, as
+            # ``copy.deepcopy`` does, so no id registered in ``memo`` is
+            # reused by a later object.
+            memo.setdefault(id(memo), []).append(state)
+        state = {key: _copy_field(value, memo) for key, value in state.items()}
+        if hasattr(clone, "__setstate__"):
+            clone.__setstate__(state)
+        else:
+            clone.__dict__.update(state)
+        return clone
+
     def clone(self) -> "Module":
         """Return a structurally identical deep copy of this module.
 
-        The copy has no forward cache: run ``forward`` on it before
-        ``backward``.
+        The copy shares no mutable state with the original: weights,
+        gradients, buffers such as BatchNorm running statistics and RNG
+        streams are all copied (see :meth:`__deepcopy__`).  It has no
+        forward cache: run ``forward`` on it before ``backward``.
         """
         return copy.deepcopy(self)
 
     def num_parameters(self) -> int:
         """Total number of trainable scalars."""
         return sum(param.size for param in self.parameters())
+
+
+#: Types whose instances are immutable, so a deep copy may share them.
+_IMMUTABLE = frozenset((type(None), bool, int, float, complex, str, bytes, type))
+
+_MISSING = object()
+
+
+def _immutable(value) -> bool:
+    """Whether ``value`` is of an immutable type or a tuple of such values."""
+    cls = type(value)
+    if cls is tuple:
+        return all(_immutable(item) for item in value)
+    return cls in _IMMUTABLE
+
+
+def _copy_field(value, memo: dict):
+    """Deep copy of one attribute of a module, for :meth:`Module.__deepcopy__`.
+
+    Arrays of a non-object dtype copy with ``ndarray.copy`` (in their own
+    memory order, as ``copy.deepcopy`` does); exact :class:`Parameter`
+    instances, lists and nested modules copy recursively; immutable values
+    are shared.  Anything else -- RNG generators, object arrays, ndarray and
+    ``Parameter`` subclasses, third-party types -- goes through
+    ``copy.deepcopy`` with the same ``memo``.
+    """
+    cls = type(value)
+    if cls in _IMMUTABLE or (cls is tuple and _immutable(value)):
+        return value
+    found = memo.get(id(value), _MISSING)
+    if found is not _MISSING:
+        return found
+    if cls is np.ndarray and not value.dtype.hasobject:
+        copied = memo[id(value)] = value.copy(order="K")
+    elif cls is Parameter:
+        copied = memo[id(value)] = Parameter.__new__(Parameter)
+        copied.__dict__.update(
+            (key, _copy_field(field, memo)) for key, field in vars(value).items()
+        )
+    elif cls is list:
+        copied = memo[id(value)] = []
+        copied.extend(_copy_field(item, memo) for item in value)
+    elif isinstance(value, Module):
+        copied = value.__deepcopy__(memo)
+    else:
+        copied = copy.deepcopy(value, memo)
+    return copied
 
 
 class Sequential(Module):

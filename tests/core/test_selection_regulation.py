@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.batching import occupied_bandwidth
 from repro.core.divergence import iid_distribution, kl_divergence, mixed_label_distribution
@@ -157,6 +159,69 @@ class TestPopulationFitness:
         fitness = PopulationFitness(batch_sizes, dists, target, 1.0, 30.0)
         scores = fitness.evaluate(np.zeros((4, 6), dtype=bool))
         assert np.array_equal(scores, np.full(4, 1e6))
+
+    @given(
+        seed=st.integers(0, 10_000),
+        num_workers=st.one_of(st.integers(1, 20), st.sampled_from([63, 64, 65, 1001])),
+        num_classes=st.integers(1, 6),
+        population=st.integers(1, 24),
+        distinct=st.integers(1, 5),
+        density=st.floats(0.0, 1.0),
+        empty_row=st.booleans(),
+        zero_batches=st.booleans(),
+        vector=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_dedup_is_bitwise_row_by_row(self, seed, num_workers, num_classes,
+                                         population, distinct, density,
+                                         empty_row, zero_batches, vector):
+        """Packed-key dedup gives every row exactly its own scalar fitness:
+        widths off a multiple of 8 (the ``packbits`` tail), one worker, one
+        row, many duplicates, all-false rows and zero-batch rows."""
+        rng = new_rng(seed)
+        batch_sizes = rng.integers(1, 17, size=num_workers)
+        if zero_batches:
+            batch_sizes[rng.random(num_workers) < 0.5] = 0
+        dists = rng.dirichlet(np.ones(num_classes), size=num_workers)
+        target = rng.dirichlet(np.ones(num_classes))
+        per_sample = rng.uniform(0.1, 2.0, size=num_workers) if vector else 0.7
+        budget = max(1.0, 0.4 * float(batch_sizes.sum()))
+        rows = rng.random((distinct, num_workers)) < density
+        if zero_batches and np.any(batch_sizes == 0):
+            rows[-1] = batch_sizes == 0          # selects zero-batch workers only
+        if empty_row:
+            rows[0] = False
+        masks = rows[rng.integers(0, distinct, size=population)]
+
+        scores = PopulationFitness(
+            batch_sizes, dists, target, per_sample, budget
+        ).evaluate(masks)
+        reference = np.asarray([
+            _fitness(mask, batch_sizes.astype(np.int64), dists, target,
+                     per_sample, budget)
+            for mask in masks
+        ])
+        assert scores.shape == (population,)
+        assert scores.tobytes() == reference.tobytes()
+
+    def test_duplicates_are_scored_once(self, monkeypatch):
+        rng = new_rng(9)
+        batch_sizes, dists, target = self._random_problem(rng, 13, 3)
+        fitness = PopulationFitness(batch_sizes, dists, target, 1.0, 40.0)
+        rows = rng.random((4, 13)) < 0.5
+        masks = rows[[0, 1, 2, 3, 3, 2, 1, 0, 0, 0]]
+        scored = []
+        distinct = PopulationFitness._evaluate_distinct
+
+        def record(self, masks):
+            scored.append(masks.shape[0])
+            return distinct(self, masks)
+
+        monkeypatch.setattr(PopulationFitness, "_evaluate_distinct", record)
+        scores = fitness.evaluate(masks)
+        assert scored == [4]
+        for index, row in enumerate(masks):
+            assert scores[index] == fitness.evaluate(row[None, :])[0]
 
     def test_genetic_select_identical_to_scalar_loop(self, monkeypatch):
         """Same seed, same SelectionResult, whether the population is scored
